@@ -3,21 +3,40 @@
 //
 // The revised simplex keeps the m×m basis B implicitly as
 //
-//     B = (P^T L U) · E_1 · E_2 · ... · E_k
+//     B = (P^T L U Q) · E_1 · E_2 · ... · E_k
 //
-// where P L U comes from a left-looking sparse factorization with partial
-// pivoting and each eta matrix E_i = I + (w - e_p) e_p^T records one column
-// replacement (w = B_prev^{-1} a_entering).  ftran/btran apply the factors
-// in the appropriate order, so each costs O(LU fill + eta fill) instead of
-// the dense tableau's O(m · total).  The eta file grows by one spike per
-// pivot; the solver refactorizes (rebuilding L U from the current basis and
+// where P^T L U Q comes from a left-looking sparse factorization and each
+// eta matrix E_i = I + (w - e_p) e_p^T records one column replacement
+// (w = B_prev^{-1} a_entering).  ftran/btran apply the factors in the
+// appropriate order, so each costs O(LU fill + eta fill) instead of the
+// dense tableau's O(m · total).  The eta file grows by one spike per pivot;
+// the solver refactorizes (rebuilding L U from the current basis and
 // clearing the file) on a configurable interval or when a pivot looks
 // numerically degraded.
 //
+// The factorization is ordered for sparsity, because fill is what every
+// later ftran/btran pays for:
+//
+//  - Column order Q: columns are eliminated by ascending nonzero count
+//    (stable), so slack and artificial singletons come first and pivot on
+//    their own row with no fill; the few structural columns follow.
+//  - Symbolic reach: before each column's numeric solve against the L built
+//    so far, a depth-first search finds the earlier steps the column
+//    actually depends on (Gilbert–Peierls), so a column costs work
+//    proportional to its flops rather than to m.
+//  - Threshold pivoting (P): any not-yet-pivotal row whose entry is at
+//    least 0.1× the column's largest (and above the singularity tolerance)
+//    may pivot; among those the row with the fewest nonzeros left in the
+//    columns still to come wins (Markowitz-style), ties going to the larger
+//    magnitude, then the lower row.  Partial pivoting on magnitude alone
+//    picks rows with no regard for what they fill in; the 0.1 threshold
+//    keeps element growth bounded while leaving room to choose.
+//
 // Index conventions: "row space" is the model's raw row index i; "slot
 // space" is the basis position r (column r of B is the basis column chosen
-// for row slot r).  factorize() consumes columns in slot order; ftran maps
-// row space -> slot space, btran maps slot space -> row space.
+// for row slot r); "step" t is the elimination order.  ftran maps row
+// space -> slot space, btran maps slot space -> row space; both carry the
+// step -> slot permutation internally.
 
 #include <utility>
 #include <vector>
@@ -55,6 +74,12 @@ class BasisLu {
 
   int dimension() const { return m_; }
 
+  /// Nonzeros of the current L and U factors, diagonal included (the eta
+  /// file is not counted).
+  int nonzeros() const {
+    return m_ + static_cast<int>(l_row_.size() + u_step_.size());
+  }
+
  private:
   struct Eta {
     int slot = 0;       // replaced basis slot p
@@ -66,10 +91,12 @@ class BasisLu {
   int m_ = 0;
   int factorizations_ = 0;
 
-  // Permutation: pivot_row_[t] = raw row chosen at elimination step t;
-  // row_step_[i] = step at which raw row i became pivotal.
+  // Permutations: pivot_row_[t] = raw row chosen at elimination step t;
+  // row_step_[i] = step at which raw row i became pivotal; slot_of_step_[t]
+  // = basis slot whose column was eliminated at step t.
   std::vector<int> pivot_row_;
   std::vector<int> row_step_;
+  std::vector<int> slot_of_step_;
   std::vector<double> diag_;  // U diagonal per step
 
   // L columns (unit diagonal implicit): per step t, (raw row, multiplier)

@@ -125,7 +125,10 @@ struct Solution {
   /// Pivots spent in phase I.
   int phase1_iterations = 0;
   /// max constraint/bound violation of the returned point, as measured by
-  /// Model::max_infeasibility (diagnostic; ~1e-9 for healthy solves).
+  /// Model::max_infeasibility (diagnostic; ~1e-9 for healthy solves).  The
+  /// revised core reports kOptimal only when this is within
+  /// feasibility_tol · (1 + |b|₁); a solve that ends further off returns
+  /// kIterationLimit, the numeric-failure status.
   double max_violation = 0.0;
   /// Basis LU refactorizations performed (revised core; 0 for dense).
   int refactorizations = 0;

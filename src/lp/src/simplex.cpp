@@ -1037,7 +1037,7 @@ class RevisedSolver {
 
   // ---- extraction --------------------------------------------------------
 
-  void finalize(Solution& out) const {
+  void finalize(Solution& out) {
     out.iterations = iterations_;
     out.refactorizations = refactorizations_;
     out.x.assign(uz(n_), 0.0);
@@ -1055,6 +1055,14 @@ class RevisedSolver {
     }
     out.objective = model_.objective_value(out.x);
     out.max_violation = model_.max_infeasibility(out.x);
+    // Optimal only for a point feasible to the tolerance phase I accepts;
+    // anything else is a numeric failure, not a silently wrong answer.
+    if (out.status == SolveStatus::kOptimal &&
+        out.max_violation > opts_.feasibility_tol * sf_.scale) {
+      out.status = SolveStatus::kIterationLimit;
+      numeric_failure_ = true;
+    }
+    if (numeric_failure_) OMN_COUNTER_ADD("lp.numeric_failures", 1);
     if (out.status == SolveStatus::kOptimal) {
       out.basis = export_basis(n_, m_, state_, basis_);
     }
