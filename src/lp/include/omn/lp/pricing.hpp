@@ -32,11 +32,13 @@ class Pricer {
   double score(int j, double dj) const;
 
   /// Devex weight update after a basis change: entering column q with
-  /// pivot element `alpha_q` = alpha_row[q], leaving column `leaving`;
-  /// `alpha_row` is the pivot row in candidate-column space (only entries
-  /// for columns < reset()'s num_columns are read).  No-op for Dantzig.
+  /// pivot element `alpha_q`, leaving column `leaving`; `alpha_row` is the
+  /// pivot row in candidate-column space, read only at `columns` (the
+  /// candidate columns where it may be nonzero, each < reset()'s
+  /// num_columns).  No-op for Dantzig.
   void on_pivot(int q, int leaving, double alpha_q,
-                const std::vector<double>& alpha_row);
+                const std::vector<double>& alpha_row,
+                const std::vector<int>& columns);
 
   Pricing rule() const { return rule_; }
 

@@ -30,7 +30,8 @@ double Pricer::score(int j, double dj) const {
 }
 
 void Pricer::on_pivot(int q, int leaving, double alpha_q,
-                      const std::vector<double>& alpha_row) {
+                      const std::vector<double>& alpha_row,
+                      const std::vector<int>& columns) {
   if (rule_ != Pricing::kSteepestEdge) return;
   if (max_weight_ > kWeightResetBound) {
     std::fill(weights_.begin(), weights_.end(), 1.0);
@@ -39,7 +40,7 @@ void Pricer::on_pivot(int q, int leaving, double alpha_q,
   const double gamma_q = weights_[static_cast<std::size_t>(q)];
   const double inv_sq = 1.0 / (alpha_q * alpha_q);
   const int count = static_cast<int>(weights_.size());
-  for (int j = 0; j < count; ++j) {
+  for (const int j : columns) {
     if (j == q) continue;
     const double a = alpha_row[static_cast<std::size_t>(j)];
     if (a == 0.0) continue;

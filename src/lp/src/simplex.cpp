@@ -556,6 +556,21 @@ class RevisedSolver {
       : model_(model), opts_(opts), sf_(StandardForm::build(model)) {
     n_ = sf_.n;
     m_ = sf_.m;
+    // Row-wise copy of the structural matrix for the pivot row; within a
+    // row, columns ascend.
+    row_ptr_.assign(uz(m_) + 1, 0);
+    for (const int i : sf_.col_row) ++row_ptr_[uz(i) + 1];
+    for (int i = 0; i < m_; ++i) row_ptr_[uz(i) + 1] += row_ptr_[uz(i)];
+    row_col_.resize(sf_.col_row.size());
+    row_val_.resize(sf_.col_row.size());
+    std::vector<int> next(row_ptr_.begin(), row_ptr_.end() - 1);
+    for (int j = 0; j < n_; ++j) {
+      for (int k = sf_.col_ptr[uz(j)]; k < sf_.col_ptr[uz(j) + 1]; ++k) {
+        const int at = next[uz(sf_.col_row[uz(k)])]++;
+        row_col_[uz(at)] = j;
+        row_val_[uz(at)] = sf_.col_val[uz(k)];
+      }
+    }
   }
 
   Solution run() {
@@ -711,6 +726,11 @@ class RevisedSolver {
     w_.assign(uz(m_), 0.0);
     rho_.assign(uz(m_), 0.0);
     alpha_.assign(uz(total_), 0.0);
+    touched_mark_.assign(uz(total_), 0);
+    art_of_row_.assign(uz(m_), -1);
+    for (int a = 0; a < num_artificials_; ++a) {
+      art_of_row_[uz(art_rows_[uz(a)])] = a;
+    }
   }
 
   // ---- columns of the standard form --------------------------------------
@@ -985,17 +1005,12 @@ class RevisedSolver {
     std::fill(rho_.begin(), rho_.end(), 0.0);
     rho_[uz(r)] = 1.0;
     lu_.btran(rho_);
+    pivot_row(q, phase1);
 
-    const int limit = phase1 ? total_ : n_ + m_;
     const double alpha_q = w_[uz(r)];
     const double ratio = d_[uz(q)] / alpha_q;
-    for (int j = 0; j < limit; ++j) {
-      if (j == q || state_[uz(j)] == VarStatus::kBasic) {
-        alpha_[uz(j)] = 0.0;
-        continue;
-      }
-      const double a = column_dot(j, rho_);
-      alpha_[uz(j)] = a;
+    for (const int j : touched_) {
+      const double a = alpha_[uz(j)];
       if (a != 0.0) d_[uz(j)] -= ratio * a;
     }
     std::fill(rho_.begin(), rho_.end(), 0.0);
@@ -1003,9 +1018,11 @@ class RevisedSolver {
     // r), so its new reduced cost is -ratio without a dot product.
     d_[uz(leaving)] = -ratio;
     d_[uz(q)] = 0.0;
-    alpha_[uz(q)] = alpha_q;
-    if (leaving < limit) alpha_[uz(leaving)] = 1.0;
-    pricer_.on_pivot(q, leaving, alpha_q, alpha_);
+    pricer_.on_pivot(q, leaving, alpha_q, alpha_, touched_);
+    for (const int j : touched_) {
+      alpha_[uz(j)] = 0.0;
+      touched_mark_[uz(j)] = 0;
+    }
 
     basis_[uz(r)] = q;
     pos_[uz(leaving)] = -1;
@@ -1021,6 +1038,34 @@ class RevisedSolver {
       if (!refactorize(phase1)) return false;
     }
     return true;
+  }
+
+  /// alpha_j = rho^T a_j for every nonbasic column j != q that shares a
+  /// row with rho's nonzeros, formed row by row from those rows alone and
+  /// listed in touched_; every other alpha_j is zero.  Rows go in ascending
+  /// order and each column's entries are sorted by row, so every alpha_j
+  /// sums the same products in the same order as a column dot product.
+  void pivot_row(int q, bool phase1) {
+    const int limit = phase1 ? total_ : n_ + m_;
+    touched_.clear();
+    const auto add = [&](int j, double v) {
+      if (j == q || j >= limit || state_[uz(j)] == VarStatus::kBasic) return;
+      if (!touched_mark_[uz(j)]) {
+        touched_mark_[uz(j)] = 1;
+        touched_.push_back(j);
+      }
+      alpha_[uz(j)] += v;
+    };
+    for (int i = 0; i < m_; ++i) {
+      const double y = rho_[uz(i)];
+      if (y == 0.0) continue;
+      for (int k = row_ptr_[uz(i)]; k < row_ptr_[uz(i) + 1]; ++k) {
+        add(row_col_[uz(k)], row_val_[uz(k)] * y);
+      }
+      add(n_ + i, y);
+      const int a = art_of_row_[uz(i)];
+      if (a >= 0) add(n_ + m_ + a, art_sign_[uz(a)] * y);
+    }
   }
 
   SolveStatus fail() {
@@ -1080,6 +1125,12 @@ class RevisedSolver {
 
   std::vector<int> art_rows_;
   std::vector<double> art_sign_;
+  std::vector<int> art_of_row_;  // row -> artificial index, -1 when none
+
+  // Row-compressed structural matrix (the pivot row's access path).
+  std::vector<int> row_ptr_;
+  std::vector<int> row_col_;
+  std::vector<double> row_val_;
 
   std::vector<double> lower_, upper_;
   std::vector<VarStatus> state_;
@@ -1096,6 +1147,8 @@ class RevisedSolver {
   std::vector<double> w_;      // entering direction, slot space
   std::vector<double> rho_;    // btran workspace, row space
   std::vector<double> alpha_;  // pivot row in column space
+  std::vector<int> touched_;   // columns where alpha_ may be nonzero
+  std::vector<std::uint8_t> touched_mark_;
 
   int iterations_ = 0;
   int refactorizations_ = 0;
