@@ -7,7 +7,7 @@
 //
 //  - `Algorithm::kRevised` (default): a revised simplex that keeps the
 //    column-compressed A, maintains the basis as a sparse LU factorization
-//    with product-form (eta-file) updates and periodic refactorization, and
+//    with Forrest–Tomlin updates and periodic refactorization, and
 //    solves B·y = a_q / Bᵀ·z = c_B by substitution.  Per-pivot work is
 //    proportional to basis fill, not to the full tableau, which is what the
 //    overlay LPs' extreme sparsity rewards.  Pricing is pluggable
@@ -52,7 +52,7 @@ std::string to_string(SolveStatus status);
 
 /// Which simplex core executes the solve.
 enum class Algorithm : std::uint8_t {
-  kRevised = 0,       ///< sparse LU basis + eta updates (default)
+  kRevised = 0,       ///< sparse LU basis + Forrest–Tomlin updates (default)
   kDenseTableau = 1,  ///< original dense tableau (differential oracle)
 };
 
@@ -100,7 +100,7 @@ struct SolveOptions {
   Algorithm algorithm = Algorithm::kRevised;
   /// Entering rule for the revised core (measured default: steepest edge).
   Pricing pricing = Pricing::kSteepestEdge;
-  /// Eta updates accumulated before the revised core refactorizes the basis
+  /// Basis updates accumulated before the revised core refactorizes the basis
   /// LU (numeric drift triggers an early refactorization regardless).
   /// Values < 1 behave as 1.
   int refactor_interval = 64;

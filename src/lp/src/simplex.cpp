@@ -43,6 +43,10 @@ namespace {
 
 std::size_t uz(int v) { return static_cast<std::size_t>(v); }
 
+// Harris ratio test relaxation: how far a basic variable may overshoot a
+// bound so that a larger pivot can be taken (revised core only).
+constexpr double kHarrisTol = 1e-9;
+
 /// The standard form both cores share.  Column layout: [0, n) structural,
 /// [n, n + m) slacks; artificials (appended by each core from the residual)
 /// follow at [n + m, total).  Built once per solve; the arithmetic here is
@@ -545,9 +549,9 @@ class DenseTableau {
 // ---------------------------------------------------------------------------
 
 /// Revised simplex over the same standard form: the basis lives in a
-/// BasisLu (sparse LU + eta file), entering columns come from ftran, pivot
-/// rows from btran, and reduced costs are maintained incrementally with a
-/// full recompute at every refactorization.  Numeric drift — a maintained
+/// BasisLu (sparse LU + Forrest–Tomlin updates), entering columns come from
+/// ftran, pivot rows from btran, and reduced costs are maintained
+/// incrementally with a full recompute at every refactorization.  Numeric drift — a maintained
 /// reduced cost disagreeing with its freshly computed value — triggers an
 /// early refactorization instead of a bad pivot.
 class RevisedSolver {
@@ -763,23 +767,22 @@ class RevisedSolver {
   // ---- factorization / recomputation -------------------------------------
 
   bool factorize_current_basis() {
-    std::vector<std::vector<std::pair<int, double>>> columns(uz(m_));
+    basis_columns_.clear();
     for (int r = 0; r < m_; ++r) {
       const int j = basis_[uz(r)];
-      auto& col = columns[uz(r)];
       if (j < n_) {
-        col.reserve(uz(sf_.col_ptr[uz(j) + 1] - sf_.col_ptr[uz(j)]));
         for (int k = sf_.col_ptr[uz(j)]; k < sf_.col_ptr[uz(j) + 1]; ++k) {
-          col.emplace_back(sf_.col_row[uz(k)], sf_.col_val[uz(k)]);
+          basis_columns_.add(sf_.col_row[uz(k)], sf_.col_val[uz(k)]);
         }
       } else if (j < n_ + m_) {
-        col.emplace_back(j - n_, 1.0);
+        basis_columns_.add(j - n_, 1.0);
       } else {
-        col.emplace_back(art_rows_[uz(j - n_ - m_)],
-                         art_sign_[uz(j - n_ - m_)]);
+        basis_columns_.add(art_rows_[uz(j - n_ - m_)],
+                           art_sign_[uz(j - n_ - m_)]);
       }
+      basis_columns_.end_column();
     }
-    return lu_.factorize(m_, columns);
+    return lu_.factorize(basis_columns_);
   }
 
   void compute_beta() {
@@ -823,7 +826,10 @@ class RevisedSolver {
   /// Rebuilds the LU from the current basis and refreshes beta and reduced
   /// costs.  Returns false on a numerically singular basis.
   bool refactorize(bool phase1) {
-    if (!factorize_current_basis()) return false;
+    if (!factorize_current_basis()) {
+      OMN_COUNTER_ADD("lp.singular_refactors", 1);
+      return false;
+    }
     ++refactorizations_;
     OMN_TRACE_INSTANT("simplex.refactorize");
     OMN_TRACE_SAMPLE("simplex.pivots", iterations_);
@@ -861,7 +867,7 @@ class RevisedSolver {
         // Don't declare optimality off incrementally maintained reduced
         // costs: refresh once and re-price.  A clean factorization that
         // still finds no candidate is conclusive.
-        if (lu_.eta_count() > 0) {
+        if (lu_.updates() > 0) {
           if (!refactorize(phase1)) return fail();
           q = choose_entering(bland, phase1);
         }
@@ -871,11 +877,11 @@ class RevisedSolver {
       // Entering direction w = B^{-1} a_q (slot space).
       std::fill(w_.begin(), w_.end(), 0.0);
       scatter_column(q, w_);
-      lu_.ftran(w_);
+      lu_.ftran_entering(w_);
 
       // Drift check: the maintained d_q against one computed from w.  A
-      // disagreement means the eta file has degraded — refactorize early
-      // and re-price rather than pivot on a stale direction.
+      // disagreement means the updated factors have degraded — refactorize
+      // early and re-price rather than pivot on a stale direction.
       double fresh = cost_[uz(q)];
       for (int r = 0; r < m_; ++r) {
         const double cb = cost_[uz(basis_[uz(r)])];
@@ -883,7 +889,7 @@ class RevisedSolver {
       }
       if (std::abs(fresh - d_[uz(q)]) >
           1e-7 * (1.0 + std::abs(d_[uz(q)]))) {
-        if (lu_.eta_count() > 0) {
+        if (lu_.updates() > 0) {
           if (!refactorize(phase1)) return fail();
           continue;  // re-price with clean numbers
         }
@@ -898,50 +904,16 @@ class RevisedSolver {
       const double sigma =
           state_[uz(q)] == VarStatus::kAtLower ? 1.0 : -1.0;
 
-      // Ratio test (same rules and tolerances as the dense oracle).
-      double best_t = upper_[uz(q)] - lower_[uz(q)];  // bound-flip range
-      int pivot_row = -1;
-      bool leave_at_lower = true;
-      double pivot_abs = 0.0;
-      for (int r = 0; r < m_; ++r) {
-        const double a = w_[uz(r)];
-        if (std::abs(a) <= opts_.pivot_tol) continue;
-        const int b = basis_[uz(r)];
-        const double delta = sigma * a;
-        double t;
-        bool hits_lower;
-        if (delta > 0.0) {
-          t = (beta_[uz(r)] - lower_[uz(b)]) / delta;
-          hits_lower = true;
-        } else {
-          const double ub = upper_[uz(b)];
-          if (!std::isfinite(ub)) continue;
-          t = (ub - beta_[uz(r)]) / (-delta);
-          hits_lower = false;
-        }
-        t = std::max(t, 0.0);
-        const bool strictly_better = t < best_t - 1e-12;
-        const bool tie = !strictly_better && t < best_t + 1e-12;
-        const bool prefer =
-            bland ? (strictly_better || (tie && pivot_row >= 0 &&
-                                         b < basis_[uz(pivot_row)]))
-                  : (strictly_better || (tie && std::abs(a) > pivot_abs));
-        if (prefer) {
-          best_t = std::min(best_t, t);
-          pivot_row = r;
-          leave_at_lower = hits_lower;
-          pivot_abs = std::abs(a);
-        }
-      }
-
-      if (!std::isfinite(best_t) && pivot_row < 0) {
+      const Step step =
+          ratio_test(sigma, upper_[uz(q)] - lower_[uz(q)], bland);
+      if (step.row < 0 && !std::isfinite(step.t)) {
         return SolveStatus::kUnbounded;
       }
 
       ++iterations_;
-      if (pivot_row < 0) {
-        // Bound flip: no basis change, no eta, reduced costs unchanged.
-        const double range = best_t;
+      if (step.row < 0) {
+        // Bound flip: no basis change, no update, reduced costs unchanged.
+        const double range = step.t;
         for (int r = 0; r < m_; ++r) {
           beta_[uz(r)] -= sigma * range * w_[uz(r)];
         }
@@ -953,18 +925,106 @@ class RevisedSolver {
         continue;
       }
 
-      if (best_t <= 1e-12) {
+      if (step.t <= 1e-12) {
         if (++degenerate_streak >= opts_.degenerate_switch) bland = true;
       } else {
         degenerate_streak = 0;
         bland = false;
       }
 
-      if (!pivot(pivot_row, q, sigma, best_t, leave_at_lower, phase1)) {
+      if (!pivot(step.row, q, sigma, step.t, step.at_lower, phase1)) {
         return fail();
       }
     }
     return SolveStatus::kIterationLimit;
+  }
+
+  struct Step {
+    int row = -1;          // leaving basis slot; -1 = bound flip
+    double t = 0.0;        // step length
+    bool at_lower = true;  // the leaving variable stops at its lower bound
+  };
+
+  /// Ratio test for the entering direction sigma · w, whose own bounds
+  /// allow a step of `flip`.  An entry of w at or below pivot_tol ·
+  /// max(1, ‖w‖∞) is rounding noise of the solve and blocks nothing, so it
+  /// never becomes the pivot — unless no other entry blocks either, when
+  /// the unscaled pivot_tol decides as before rather than calling a
+  /// bounded LP unbounded.
+  Step ratio_test(double sigma, double flip, bool bland) const {
+    double w_max = 1.0;
+    for (int r = 0; r < m_; ++r) w_max = std::max(w_max, std::abs(w_[uz(r)]));
+    Step step = ratio_test(sigma, flip, bland, opts_.pivot_tol * w_max);
+    if (step.row < 0 && !std::isfinite(step.t) && w_max > 1.0) {
+      step = ratio_test(sigma, flip, bland, opts_.pivot_tol);
+    }
+    return step;
+  }
+
+  /// The ratio test over the entries of w above `tol`.  Harris two-pass:
+  /// pass 1 bounds the step with every blocking bound relaxed by
+  /// kHarrisTol; pass 2 takes, among the rows whose exact ratio is within
+  /// that bound, the largest |w_r|, so at a degenerate vertex the sturdiest
+  /// of the tied entries pivots and the rows passed over overshoot their
+  /// bounds by at most kHarrisTol.  Under Bland's rule the textbook test
+  /// runs instead, ties going to the lowest basic column, so the
+  /// anti-cycling guarantee holds.
+  Step ratio_test(double sigma, double flip, bool bland, double tol) const {
+    // Whether slot r blocks: its variable then reaches the bound it heads
+    // for (`hits_lower`) after a step of slack / rate.
+    double slack = 0.0;
+    double rate = 0.0;
+    bool hits_lower = true;
+    const auto blocks = [&](int r) {
+      const double a = w_[uz(r)];
+      if (std::abs(a) <= tol) return false;
+      const int b = basis_[uz(r)];
+      const double delta = sigma * a;
+      if (delta > 0.0) {
+        slack = beta_[uz(r)] - lower_[uz(b)];
+        hits_lower = true;
+      } else {
+        const double ub = upper_[uz(b)];
+        if (!std::isfinite(ub)) return false;
+        slack = ub - beta_[uz(r)];
+        hits_lower = false;
+      }
+      rate = std::abs(delta);
+      return true;
+    };
+
+    Step step;
+    step.t = flip;
+    if (bland) {
+      for (int r = 0; r < m_; ++r) {
+        if (!blocks(r)) continue;
+        const double t = std::max(slack / rate, 0.0);
+        const bool strictly_better = t < step.t - 1e-12;
+        const bool tie = !strictly_better && t < step.t + 1e-12;
+        if (strictly_better ||
+            (tie && step.row >= 0 && basis_[uz(r)] < basis_[uz(step.row)])) {
+          step.t = std::min(step.t, t);
+          step.row = r;
+          step.at_lower = hits_lower;
+        }
+      }
+      return step;
+    }
+    double bound = flip;
+    for (int r = 0; r < m_; ++r) {
+      if (blocks(r)) bound = std::min(bound, (slack + kHarrisTol) / rate);
+    }
+    double pivot_abs = 0.0;
+    for (int r = 0; r < m_; ++r) {
+      if (!blocks(r)) continue;
+      const double t = slack / rate;
+      if (t > bound || rate <= pivot_abs) continue;
+      step.row = r;
+      step.t = std::max(t, 0.0);
+      step.at_lower = hits_lower;
+      pivot_abs = rate;
+    }
+    return step;
   }
 
   int choose_entering(bool bland, bool phase1) const {
@@ -1031,10 +1091,12 @@ class RevisedSolver {
     state_[uz(leaving)] =
         leave_at_lower ? VarStatus::kAtLower : VarStatus::kAtUpper;
 
-    // Basis update: append an eta, or refactorize when the file is full or
-    // the eta pivot is numerically unusable.
+    // Forrest–Tomlin update of the LU, or a refactorization when the
+    // interval is used up or the update is numerically unusable.
     const int interval = std::max(1, opts_.refactor_interval);
-    if (!lu_.update(r, w_) || lu_.eta_count() >= interval) {
+    const bool updated = lu_.update(r, alpha_q);
+    if (!updated) OMN_COUNTER_ADD("lp.update_rejects", 1);
+    if (!updated || lu_.updates() >= interval) {
       if (!refactorize(phase1)) return false;
     }
     return true;
@@ -1141,6 +1203,7 @@ class RevisedSolver {
   std::vector<double> d_;
 
   BasisLu lu_;
+  CscMatrix basis_columns_;  // refilled by each factorization
   Pricer pricer_;
 
   // Scratch (sized by init_scratch, reused across iterations).

@@ -1,8 +1,13 @@
 // Unit tests for lp::BasisLu, the revised simplex's basis factorization:
 //
 //  - ftran/btran residuals on random sparse nonsingular bases (slack-heavy,
-//    permuted triangular, small dense), straight after factorize() and
-//    after a run of eta updates replacing basis columns;
+//    permuted triangular, small dense, overlay-shaped), straight after
+//    factorize() and through 64 Forrest–Tomlin updates replacing basis
+//    columns;
+//  - update() rejecting a near-singular replacement and a pivot that
+//    disagrees with the factors, leaving the factors usable;
+//  - nonzeros() growing across updates by no more than the spikes and row
+//    etas the updates stored;
 //  - factorize() rejecting singular bases (a zero column, a duplicated
 //    column) and recovering on the next good one;
 //  - the fill bound that the sparsity ordering buys on an overlay-shaped
@@ -26,6 +31,7 @@
 namespace {
 
 using omn::lp::BasisLu;
+using omn::lp::CscMatrix;
 using omn::util::Rng;
 
 using Column = std::vector<std::pair<int, double>>;
@@ -34,6 +40,15 @@ using Columns = std::vector<Column>;
 constexpr double kResidualTol = 1e-9;
 
 std::size_t uz(int v) { return static_cast<std::size_t>(v); }
+
+CscMatrix to_csc(const Columns& columns) {
+  CscMatrix csc;
+  for (const Column& column : columns) {
+    for (const auto& [row, value] : column) csc.add(row, value);
+    csc.end_column();
+  }
+  return csc;
+}
 
 int nonzeros(const Columns& columns) {
   int total = 0;
@@ -166,91 +181,69 @@ void expect_solves(const BasisLu& lu, const Columns& basis, Rng& rng) {
   }
 }
 
-/// The row where slot r's column has its largest entry: replacing the
-/// column by one dominant on the same row keeps the basis well conditioned.
+/// A row per slot, all distinct, each an entry of the slot's column: a
+/// perfect matching by augmenting paths (Kuhn), each slot trying its
+/// entries largest first.  Replacing a column by one dominant on its
+/// slot's row keeps the basis nonsingular and well conditioned.
 std::vector<int> anchor_rows(const Columns& basis) {
-  std::vector<int> rows;
-  for (const Column& column : basis) {
-    const auto largest = std::max_element(
-        column.begin(), column.end(), [](const auto& a, const auto& b) {
-          return std::abs(a.second) < std::abs(b.second);
-        });
-    rows.push_back(largest->first);
+  const std::size_t m = basis.size();
+  Columns largest_first = basis;
+  for (Column& column : largest_first) {
+    std::sort(column.begin(), column.end(), [](const auto& a, const auto& b) {
+      return std::abs(a.second) > std::abs(b.second);
+    });
+  }
+  std::vector<int> slot_of_row(m, -1);
+  std::vector<bool> seen;
+  const auto augment = [&](const auto& self, int slot) -> bool {
+    for (const auto& entry : largest_first[uz(slot)]) {
+      const int row = entry.first;
+      if (seen[uz(row)]) continue;
+      seen[uz(row)] = true;
+      if (slot_of_row[uz(row)] < 0 || self(self, slot_of_row[uz(row)])) {
+        slot_of_row[uz(row)] = slot;
+        return true;
+      }
+    }
+    return false;
+  };
+  for (std::size_t slot = 0; slot < m; ++slot) {
+    seen.assign(m, false);
+    augment(augment, static_cast<int>(slot));
+  }
+  std::vector<int> rows(m, -1);
+  for (std::size_t row = 0; row < m; ++row) {
+    rows[uz(slot_of_row[row])] = static_cast<int>(row);
   }
   return rows;
 }
 
-/// Replaces `count` random basis columns through eta updates, mirroring
-/// each replacement in `basis`, and checks the solves after every eighth.
+/// ftran_entering() of `column` (row space) into slot space.
+std::vector<double> entering_image(BasisLu& lu, const Column& column, int m) {
+  std::vector<double> w(uz(m), 0.0);
+  for (const auto& [row, value] : column) w[uz(row)] = value;
+  lu.ftran_entering(w);
+  return w;
+}
+
+/// Replaces `count` random basis columns through Forrest–Tomlin updates,
+/// mirroring each replacement in `basis`, and checks the solves after
+/// every eighth.  After each update nonzeros() may exceed its value at
+/// factorize() by no more than what the updates stored.
 void run_updates(BasisLu& lu, Columns& basis, int count, Rng& rng) {
   const int m = static_cast<int>(basis.size());
   const std::vector<int> anchor = anchor_rows(basis);
+  const int factorized = lu.nonzeros();
   for (int done = 1; done <= count; ++done) {
     const auto slot = static_cast<int>(rng.uniform_index(uz(m)));
     Column entering = dominant_column(m, anchor[uz(slot)], 2, rng);
-    std::vector<double> w(uz(m), 0.0);
-    for (const auto& [row, value] : entering) w[uz(row)] = value;
-    lu.ftran(w);
-    ASSERT_TRUE(lu.update(slot, w));
+    const std::vector<double> w = entering_image(lu, entering, m);
+    ASSERT_TRUE(lu.update(slot, w[uz(slot)]));
     basis[uz(slot)] = std::move(entering);
+    EXPECT_LE(lu.nonzeros(), factorized + lu.update_nonzeros());
     if (done % 8 == 0) expect_solves(lu, basis, rng);
   }
-  EXPECT_EQ(lu.eta_count(), count);
-}
-
-TEST(BasisLu, SolvesRandomSparseBasesBeforeAndAfterEtaUpdates) {
-  struct Family {
-    const char* name;
-    Columns (*make)(int, Rng&);
-    int m;
-  };
-  const Family families[] = {{"slack-heavy", slack_heavy, 120},
-                             {"permuted-triangular", permuted_triangular, 50},
-                             {"small-dense", small_dense, 8}};
-  for (const Family& family : families) {
-    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-      SCOPED_TRACE(std::string(family.name) + " seed " + std::to_string(seed));
-      Rng rng(seed);
-      Columns basis = family.make(family.m, rng);
-      BasisLu lu;
-      ASSERT_TRUE(lu.factorize(family.m, basis));
-      EXPECT_EQ(lu.dimension(), family.m);
-      EXPECT_EQ(lu.eta_count(), 0);
-      expect_solves(lu, basis, rng);
-      run_updates(lu, basis, 64, rng);
-    }
-  }
-}
-
-TEST(BasisLu, RejectsAZeroColumnAndRecovers) {
-  Rng rng(7);
-  Columns basis = slack_heavy(40, rng);
-  const Column kept = basis[5];
-  basis[5].clear();
-  BasisLu lu;
-  EXPECT_FALSE(lu.factorize(40, basis));
-  EXPECT_EQ(lu.factorizations(), 0);
-
-  // The failed attempt must leave no residue in the solver's workspace.
-  basis[5] = kept;
-  ASSERT_TRUE(lu.factorize(40, basis));
-  EXPECT_EQ(lu.factorizations(), 1);
-  expect_solves(lu, basis, rng);
-}
-
-TEST(BasisLu, RejectsADuplicatedColumn) {
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    Rng rng(seed);
-    Columns basis = permuted_triangular(30, rng);
-    // Duplicate the densest column into another slot.
-    std::size_t densest = 0;
-    for (std::size_t r = 0; r < basis.size(); ++r) {
-      if (basis[r].size() > basis[densest].size()) densest = r;
-    }
-    basis[(densest + 1) % basis.size()] = basis[densest];
-    BasisLu lu;
-    EXPECT_FALSE(lu.factorize(30, basis)) << "seed " << seed;
-  }
+  EXPECT_EQ(lu.updates(), count);
 }
 
 /// An overlay-LP-shaped basis: m slack rows, of which every third slot
@@ -271,6 +264,102 @@ Columns overlay_basis(int m, Rng& rng) {
   return columns;
 }
 
+TEST(BasisLu, SolvesRandomSparseBasesThroughForrestTomlinUpdates) {
+  struct Family {
+    const char* name;
+    Columns (*make)(int, Rng&);
+    int m;
+  };
+  const Family families[] = {{"slack-heavy", slack_heavy, 120},
+                             {"permuted-triangular", permuted_triangular, 50},
+                             {"small-dense", small_dense, 8},
+                             {"overlay-shaped", overlay_basis, 120}};
+  for (const Family& family : families) {
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+      SCOPED_TRACE(std::string(family.name) + " seed " + std::to_string(seed));
+      Rng rng(seed);
+      Columns basis = family.make(family.m, rng);
+      BasisLu lu;
+      ASSERT_TRUE(lu.factorize(to_csc(basis)));
+      EXPECT_EQ(lu.dimension(), family.m);
+      EXPECT_EQ(lu.updates(), 0);
+      EXPECT_EQ(lu.update_nonzeros(), 0);
+      expect_solves(lu, basis, rng);
+      run_updates(lu, basis, 64, rng);
+    }
+  }
+}
+
+TEST(BasisLu, RejectsANearSingularReplacementAndStaysUsable) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const int m = 60;
+    Columns basis = slack_heavy(m, rng);
+    BasisLu lu;
+    ASSERT_TRUE(lu.factorize(to_csc(basis)));
+    run_updates(lu, basis, 8, rng);
+    const int nonzeros = lu.nonzeros();
+
+    // Slot 0's replacement: slot 1's column plus 1e-13 on one row, so the
+    // new basis is singular to working precision.
+    Column entering = basis[1];
+    entering.front().second += 1e-13;
+    std::vector<double> w = entering_image(lu, entering, m);
+    EXPECT_LE(std::abs(w[0]), 1e-11);
+    EXPECT_FALSE(lu.update(0, w[0]));
+    EXPECT_EQ(lu.updates(), 8);
+    EXPECT_EQ(lu.nonzeros(), nonzeros);
+    expect_solves(lu, basis, rng);
+
+    // A sound replacement whose pivot the caller misstates: the new U
+    // diagonal disagrees with alpha · the old one.
+    entering = dominant_column(m, anchor_rows(basis)[2], 2, rng);
+    w = entering_image(lu, entering, m);
+    EXPECT_FALSE(lu.update(2, 2.0 * w[2]));
+    expect_solves(lu, basis, rng);
+
+    // Stated correctly, the same replacement goes through; an update
+    // without a fresh spike does not.
+    w = entering_image(lu, entering, m);
+    ASSERT_TRUE(lu.update(2, w[2]));
+    basis[2] = entering;
+    EXPECT_FALSE(lu.update(3, 1.0));
+    expect_solves(lu, basis, rng);
+  }
+}
+
+TEST(BasisLu, RejectsAZeroColumnAndRecovers) {
+  Rng rng(7);
+  Columns basis = slack_heavy(40, rng);
+  const Column kept = basis[5];
+  basis[5].clear();
+  BasisLu lu;
+  EXPECT_FALSE(lu.factorize(to_csc(basis)));
+  EXPECT_EQ(lu.factorizations(), 0);
+
+  // The failed attempt must leave no residue in the solver's workspace.
+  basis[5] = kept;
+  ASSERT_TRUE(lu.factorize(to_csc(basis)));
+  EXPECT_EQ(lu.factorizations(), 1);
+  expect_solves(lu, basis, rng);
+}
+
+TEST(BasisLu, RejectsADuplicatedColumn) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    Rng rng(seed);
+    Columns basis = permuted_triangular(30, rng);
+    // Duplicate the densest column into another slot.
+    std::size_t densest = 0;
+    for (std::size_t r = 0; r < basis.size(); ++r) {
+      if (basis[r].size() > basis[densest].size()) densest = r;
+    }
+    basis[(densest + 1) % basis.size()] = basis[densest];
+    BasisLu lu;
+    EXPECT_FALSE(lu.factorize(to_csc(basis))) << "seed " << seed;
+  }
+}
+
 TEST(BasisLu, OverlayShapedBasisFactorsWithLittleFill) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -280,7 +369,7 @@ TEST(BasisLu, OverlayShapedBasisFactorsWithLittleFill) {
     const std::uint64_t counted_before =
         omn::util::counter_value("lp.lu_nonzeros");
     BasisLu lu;
-    ASSERT_TRUE(lu.factorize(m, basis));
+    ASSERT_TRUE(lu.factorize(to_csc(basis)));
     // The basis has 800 nonzeros.  Singletons first and Markowitz-style
     // pivots add about 10 fill entries; eliminating in slot order on the
     // largest entry adds about 100.

@@ -3,12 +3,16 @@
 // Each fixture under tests/data/churn_lp_*.txt is the instance a
 // `serve-churn` session (omn-bench) had reached after the named event:
 // churn leaves failed edges at loss 0.999999 beside changed fanouts and
-// capacities.  A revised solve of these LPs returned "optimal" at a
-// point violating its own constraints by up to 7.5, or stopped with a
-// numeric failure, while the dense tableau solved them.  All five
-// solve once the basis LU is ordered for sparsity instead of eliminating
-// in slot order on the largest entry.  Each LP is solved cold by the
-// revised core and checked against the dense oracle.
+// capacities.  The dense tableau solves them all.  A revised solve of the
+// seed 8 and seed 9 LPs returned "optimal" at a point violating its own
+// constraints by up to 7.5, or stopped with a numeric failure, until the
+// basis LU was ordered for sparsity.  The seed 11 and seed 13 LPs ended
+// `iteration-limit`: at a degenerate vertex the ratio test pivoted on an
+// entry of B⁻¹a_q of about 1e-8, rounding noise next to entries of order
+// 10, the basis went singular and the next refactorization failed.  The
+// ratio test now treats entries that small relative to the column as
+// zero.  Each LP is solved cold by the revised core and checked against
+// the dense oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -58,8 +62,12 @@ TEST_P(ChurnLp, RevisedCoreMatchesTheDenseOracle) {
   ASSERT_EQ(options.algorithm, Algorithm::kRevised);
   const std::uint64_t failures_before =
       omn::util::counter_value("lp.numeric_failures");
+  const std::uint64_t singular_before =
+      omn::util::counter_value("lp.singular_refactors");
   const Solution revised = SimplexSolver().solve(lp.model, options);
   EXPECT_EQ(omn::util::counter_value("lp.numeric_failures"), failures_before);
+  EXPECT_EQ(omn::util::counter_value("lp.singular_refactors"),
+            singular_before);
   options.algorithm = Algorithm::kDenseTableau;
   const Solution dense = SimplexSolver().solve(lp.model, options);
 
@@ -77,6 +85,9 @@ INSTANTIATE_TEST_SUITE_P(
                       "churn_lp_seed9_session11_event18.txt",
                       "churn_lp_seed9_session11_event19.txt",
                       "churn_lp_seed9_session11_event20.txt",
-                      "churn_lp_seed8_session4_event64.txt"));
+                      "churn_lp_seed8_session4_event64.txt",
+                      "churn_lp_seed11_session1_event22.txt",
+                      "churn_lp_seed13_session8_event17.txt",
+                      "churn_lp_seed13_session8_event18.txt"));
 
 }  // namespace
