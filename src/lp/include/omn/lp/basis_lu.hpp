@@ -151,6 +151,7 @@ class BasisLu {
   std::vector<int> l_ptr_;
   std::vector<int> l_step_;
   std::vector<double> l_val_;
+  std::vector<int> l_cols_;  // steps whose L column is not empty, ascending
 
   // U, kept column-wise for ftran and row-wise for btran and updates.
   // Step t's column holds (row step, value) at [col_begin_[t],

@@ -179,6 +179,10 @@ bool BasisLu::factorize(const CscMatrix& basis) {
     row_step_[uz(pivot)] = k;
   }
   for (int& i : l_step_) i = row_step_[uz(i)];
+  l_cols_.clear();
+  for (int t = 0; t < m; ++t) {
+    if (l_ptr_[uz(t) + 1] > l_ptr_[uz(t)]) l_cols_.push_back(t);
+  }
   step_of_slot_.resize(uz(m));
   for (int t = 0; t < m; ++t) step_of_slot_[uz(slot_of_step_[uz(t)])] = t;
 
@@ -221,7 +225,7 @@ void BasisLu::lower_solve(const std::vector<double>& b) const {
   // work = R L^{-1} P b in step space.
   std::vector<double>& work = work_;
   for (int i = 0; i < m_; ++i) work[uz(row_step_[uz(i)])] = b[uz(i)];
-  for (int t = 0; t < m_; ++t) {
+  for (const int t : l_cols_) {
     const double p = work[uz(t)];
     if (p == 0.0) continue;
     for (int e = l_ptr_[uz(t)]; e < l_ptr_[uz(t) + 1]; ++e) {
@@ -309,7 +313,8 @@ void BasisLu::btran(std::vector<double>& x) const {
     }
   }
   // L^{-T}: backward; L column t's entries live at later steps.
-  for (int t = m_ - 1; t >= 0; --t) {
+  for (auto it = l_cols_.rbegin(); it != l_cols_.rend(); ++it) {
+    const int t = *it;
     double acc = work[uz(t)];
     for (int e = l_ptr_[uz(t)]; e < l_ptr_[uz(t) + 1]; ++e) {
       acc -= l_val_[uz(e)] * work[uz(l_step_[uz(e)])];
@@ -455,7 +460,8 @@ bool BasisLu::update(int slot, double alpha) {
   position_[uz(p)] = static_cast<int>(order_.size());
   order_.push_back(p);
   ++updates_;
-  update_nonzeros_ += col_len_[uz(p)] + static_cast<int>(r_col_.size() - eta_begin);
+  update_nonzeros_ +=
+      col_len_[uz(p)] + static_cast<int>(r_col_.size() - eta_begin);
   return true;
 }
 

@@ -551,9 +551,9 @@ class DenseTableau {
 /// Revised simplex over the same standard form: the basis lives in a
 /// BasisLu (sparse LU + Forrest–Tomlin updates), entering columns come from
 /// ftran, pivot rows from btran, and reduced costs are maintained
-/// incrementally with a full recompute at every refactorization.  Numeric drift — a maintained
-/// reduced cost disagreeing with its freshly computed value — triggers an
-/// early refactorization instead of a bad pivot.
+/// incrementally with a full recompute at every refactorization.  Numeric
+/// drift — a maintained reduced cost disagreeing with its freshly computed
+/// value — triggers an early refactorization instead of a bad pivot.
 class RevisedSolver {
  public:
   RevisedSolver(const Model& model, const SolveOptions& opts)
@@ -945,84 +945,85 @@ class RevisedSolver {
     bool at_lower = true;  // the leaving variable stops at its lower bound
   };
 
+  /// A basis slot whose variable blocks a step along sigma · w: it reaches
+  /// the bound it heads for (`hits_lower`) after a step of slack / rate,
+  /// where rate = |w_row|.
+  struct Blocker {
+    int row = 0;
+    double slack = 0.0;
+    double rate = 0.0;
+    bool hits_lower = true;
+  };
+
   /// Ratio test for the entering direction sigma · w, whose own bounds
   /// allow a step of `flip`.  An entry of w at or below pivot_tol ·
   /// max(1, ‖w‖∞) is rounding noise of the solve and blocks nothing, so it
   /// never becomes the pivot — unless no other entry blocks either, when
   /// the unscaled pivot_tol decides as before rather than calling a
   /// bounded LP unbounded.
-  Step ratio_test(double sigma, double flip, bool bland) const {
+  Step ratio_test(double sigma, double flip, bool bland) {
+    blockers_.clear();
     double w_max = 1.0;
-    for (int r = 0; r < m_; ++r) w_max = std::max(w_max, std::abs(w_[uz(r)]));
-    Step step = ratio_test(sigma, flip, bland, opts_.pivot_tol * w_max);
+    for (int r = 0; r < m_; ++r) {
+      const double a = w_[uz(r)];
+      const double rate = std::abs(a);
+      w_max = std::max(w_max, rate);
+      if (rate <= opts_.pivot_tol) continue;
+      const int b = basis_[uz(r)];
+      if (sigma * a > 0.0) {
+        blockers_.push_back({r, beta_[uz(r)] - lower_[uz(b)], rate, true});
+      } else if (std::isfinite(upper_[uz(b)])) {
+        blockers_.push_back({r, upper_[uz(b)] - beta_[uz(r)], rate, false});
+      }
+    }
+    Step step = choose_leaving(flip, bland, opts_.pivot_tol * w_max);
     if (step.row < 0 && !std::isfinite(step.t) && w_max > 1.0) {
-      step = ratio_test(sigma, flip, bland, opts_.pivot_tol);
+      step = choose_leaving(flip, bland, opts_.pivot_tol);
     }
     return step;
   }
 
-  /// The ratio test over the entries of w above `tol`.  Harris two-pass:
-  /// pass 1 bounds the step with every blocking bound relaxed by
+  /// The leaving row among the blockers with rate above `tol`.  Harris
+  /// two-pass: pass 1 bounds the step with every blocking bound relaxed by
   /// kHarrisTol; pass 2 takes, among the rows whose exact ratio is within
   /// that bound, the largest |w_r|, so at a degenerate vertex the sturdiest
   /// of the tied entries pivots and the rows passed over overshoot their
   /// bounds by at most kHarrisTol.  Under Bland's rule the textbook test
   /// runs instead, ties going to the lowest basic column, so the
   /// anti-cycling guarantee holds.
-  Step ratio_test(double sigma, double flip, bool bland, double tol) const {
-    // Whether slot r blocks: its variable then reaches the bound it heads
-    // for (`hits_lower`) after a step of slack / rate.
-    double slack = 0.0;
-    double rate = 0.0;
-    bool hits_lower = true;
-    const auto blocks = [&](int r) {
-      const double a = w_[uz(r)];
-      if (std::abs(a) <= tol) return false;
-      const int b = basis_[uz(r)];
-      const double delta = sigma * a;
-      if (delta > 0.0) {
-        slack = beta_[uz(r)] - lower_[uz(b)];
-        hits_lower = true;
-      } else {
-        const double ub = upper_[uz(b)];
-        if (!std::isfinite(ub)) return false;
-        slack = ub - beta_[uz(r)];
-        hits_lower = false;
-      }
-      rate = std::abs(delta);
-      return true;
-    };
-
+  Step choose_leaving(double flip, bool bland, double tol) const {
     Step step;
     step.t = flip;
     if (bland) {
-      for (int r = 0; r < m_; ++r) {
-        if (!blocks(r)) continue;
-        const double t = std::max(slack / rate, 0.0);
+      for (const Blocker& blocker : blockers_) {
+        if (blocker.rate <= tol) continue;
+        const double t = std::max(blocker.slack / blocker.rate, 0.0);
         const bool strictly_better = t < step.t - 1e-12;
         const bool tie = !strictly_better && t < step.t + 1e-12;
         if (strictly_better ||
-            (tie && step.row >= 0 && basis_[uz(r)] < basis_[uz(step.row)])) {
+            (tie && step.row >= 0 &&
+             basis_[uz(blocker.row)] < basis_[uz(step.row)])) {
           step.t = std::min(step.t, t);
-          step.row = r;
-          step.at_lower = hits_lower;
+          step.row = blocker.row;
+          step.at_lower = blocker.hits_lower;
         }
       }
       return step;
     }
     double bound = flip;
-    for (int r = 0; r < m_; ++r) {
-      if (blocks(r)) bound = std::min(bound, (slack + kHarrisTol) / rate);
+    for (const Blocker& blocker : blockers_) {
+      if (blocker.rate <= tol) continue;
+      bound = std::min(bound, (blocker.slack + kHarrisTol) / blocker.rate);
     }
     double pivot_abs = 0.0;
-    for (int r = 0; r < m_; ++r) {
-      if (!blocks(r)) continue;
-      const double t = slack / rate;
-      if (t > bound || rate <= pivot_abs) continue;
-      step.row = r;
+    for (const Blocker& blocker : blockers_) {
+      if (blocker.rate <= tol) continue;
+      const double t = blocker.slack / blocker.rate;
+      if (t > bound || blocker.rate <= pivot_abs) continue;
+      step.row = blocker.row;
       step.t = std::max(t, 0.0);
-      step.at_lower = hits_lower;
-      pivot_abs = rate;
+      step.at_lower = blocker.hits_lower;
+      pivot_abs = blocker.rate;
     }
     return step;
   }
@@ -1211,6 +1212,7 @@ class RevisedSolver {
   std::vector<double> rho_;    // btran workspace, row space
   std::vector<double> alpha_;  // pivot row in column space
   std::vector<int> touched_;   // columns where alpha_ may be nonzero
+  std::vector<Blocker> blockers_;  // ratio test candidates
   std::vector<std::uint8_t> touched_mark_;
 
   int iterations_ = 0;
