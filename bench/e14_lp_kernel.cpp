@@ -193,7 +193,8 @@ int main(int argc, char** argv) {
   }
 
   bench::print_table(
-      table, "E14: simplex kernel, dense oracle vs revised (LU + eta file)",
+      table,
+      "E14: simplex kernel, dense oracle vs revised (LU + Forrest–Tomlin)",
       "Expected shape: the revised core beats the dense tableau on wall\n"
       "clock and on per-pivot cost, with the gap widening in size (dense\n"
       "pivots touch the full tableau; revised pivots touch the LU fill).\n"
